@@ -1,7 +1,7 @@
 // Batched query throughput: the §6.2 distance-bucketed allFP workload
 // replayed through FastestPathEngine::RunBatch at several thread counts,
-// with the edge-TTF cache on and off, reporting QPS, latency percentiles,
-// cache hit rates, and expansion counts. Results go to stdout as a table
+// reporting QPS, latency percentiles, edge-TTF memo hit rates, and
+// expansion counts. Results go to stdout as a table
 // and (by default) to BENCH_throughput.json — the repo's machine-readable
 // perf baseline.
 //
@@ -18,6 +18,7 @@
 //                      exact labels; results stay value-exact either way)
 //   --json=PATH        output path (default BENCH_throughput.json; "" = off)
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,17 +36,39 @@ namespace {
 
 struct ConfigResult {
   int threads = 0;
-  bool cache = false;
   double wall_ms = 0.0;
   double qps = 0.0;
   util::Summary latency_ms;
   int64_t expansions = 0;
-  network::EdgeTtfCacheStats cache_stats;
   // This config's movement of the engine metric tree (counters diffed
   // against the pre-run snapshot) and its batch-local latency histogram.
   obs::MetricsSnapshot metrics_delta;
   obs::HistogramSnapshot batch_latency;
 };
+
+// The host's CPU model as the OS names it ("unknown" off Linux), so the
+// committed JSON says which machine its timings come from.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+// This config's edge-TTF memo hit rate, from its exact per-query counts.
+double HitRate(const obs::MetricsSnapshot& delta) {
+  const uint64_t hits = delta.counter("capefp.ttf_cache.hits");
+  const uint64_t lookups = delta.counter("capefp.ttf_cache.lookups");
+  return lookups == 0 ? 0.0
+                      : static_cast<double>(hits) /
+                            static_cast<double>(lookups);
+}
 
 std::vector<int> ParseThreadsList(const std::string& spec) {
   std::vector<int> out;
@@ -94,7 +117,8 @@ int Main(int argc, char** argv) {
        {"bdLB grid", std::to_string(grid)},
        {"flight recorder", flightrec},
        {"simplify eps", std::to_string(eps_seconds) + " s"},
-       {"host hardware threads", std::to_string(hw_threads)}});
+       {"host hardware threads", std::to_string(hw_threads)},
+       {"host cpu", CpuModel()}});
 
   core::EngineOptions options;
   options.boundary_grid_dim = grid;
@@ -116,62 +140,52 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Reference run: results of every config must match it (the batch API
-  // promises bit-identical answers regardless of thread count; across
-  // cache settings the functions may differ in representation, so the
-  // border is compared approximately).
+  // Reference run: results of every config must match it bit for bit (the
+  // batch API promises identical answers regardless of thread count). It
+  // also fills the edge-TTF memo, whose entries live as long as the
+  // engine, so every config below measures the warm steady state.
   std::vector<core::AllFpResult> reference = engine.RunBatch(workload, 1);
 
   std::vector<ConfigResult> results;
-  for (const bool cache_on : {true, false}) {
-    for (const int threads : thread_counts) {
-      engine.set_ttf_cache_enabled(cache_on);
-      engine.ClearTtfCache();  // Every config starts cold.
-      const obs::MetricsSnapshot before = engine.metrics()->Snapshot();
-      util::WallTimer timer;
-      const core::BatchResult batch =
-          engine.RunBatchWithMetrics(workload, threads);
-      ConfigResult config;
-      config.wall_ms = timer.ElapsedMillis();
-      config.threads = threads;
-      config.cache = cache_on;
-      config.qps =
-          static_cast<double>(workload.size()) / (config.wall_ms / 1000.0);
-      config.metrics_delta = batch.metrics.DeltaSince(before);
-      config.batch_latency = batch.latency_ms;
-      for (double ms : batch.per_query_millis) config.latency_ms.Add(ms);
-      for (size_t i = 0; i < batch.results.size(); ++i) {
-        CAPEFP_CHECK(batch.results[i].found);
-        config.expansions += batch.results[i].stats.expansions;
-        CAPEFP_CHECK(tdf::PwlFunction::ApproxEqual(
-            *batch.results[i].border, *reference[i].border, 1e-6))
-            << "config (threads=" << threads << ", cache=" << cache_on
-            << ") diverged from the reference on query " << i;
-      }
-      if (const auto stats = engine.ttf_cache_stats(); stats.has_value()) {
-        config.cache_stats = *stats;
-      }
-      results.push_back(config);
-      // Tail latencies come from the batch-local histogram's quantile
-      // helpers (bucket-interpolated; bias bounded by one bucket width —
-      // see HistogramSnapshot::Percentile), matching what the slow-query
-      // tracker thresholds on.
-      std::printf("threads=%d cache=%-3s  %8.1f ms  %7.1f qps  p50 %6.2f ms"
-                  "  p95 %6.2f ms  p99 %6.2f ms  p999 %6.2f ms"
-                  "  hit-rate %5.1f%%\n",
-                  threads, cache_on ? "on" : "off", config.wall_ms,
-                  config.qps, config.latency_ms.percentile(50),
-                  config.latency_ms.percentile(95),
-                  config.batch_latency.P99(), config.batch_latency.P999(),
-                  100.0 * config.cache_stats.hit_rate());
+  for (const int threads : thread_counts) {
+    const obs::MetricsSnapshot before = engine.metrics()->Snapshot();
+    util::WallTimer timer;
+    const core::BatchResult batch =
+        engine.RunBatchWithMetrics(workload, threads);
+    ConfigResult config;
+    config.wall_ms = timer.ElapsedMillis();
+    config.threads = threads;
+    config.qps =
+        static_cast<double>(workload.size()) / (config.wall_ms / 1000.0);
+    config.metrics_delta = batch.metrics.DeltaSince(before);
+    config.batch_latency = batch.latency_ms;
+    for (double ms : batch.per_query_millis) config.latency_ms.Add(ms);
+    for (size_t i = 0; i < batch.results.size(); ++i) {
+      CAPEFP_CHECK(batch.results[i].found);
+      config.expansions += batch.results[i].stats.expansions;
+      CAPEFP_CHECK(tdf::PwlFunction::ApproxEqual(
+          *batch.results[i].border, *reference[i].border, 0.0))
+          << "config (threads=" << threads
+          << ") diverged from the reference on query " << i;
     }
+    results.push_back(config);
+    // Tail latencies come from the batch-local histogram's quantile
+    // helpers (bucket-interpolated; bias bounded by one bucket width —
+    // see HistogramSnapshot::Percentile), matching what the slow-query
+    // tracker thresholds on.
+    std::printf("threads=%d  %8.1f ms  %7.1f qps  p50 %6.2f ms"
+                "  p95 %6.2f ms  p99 %6.2f ms  p999 %6.2f ms"
+                "  hit-rate %5.1f%%\n",
+                threads, config.wall_ms, config.qps,
+                config.latency_ms.percentile(50),
+                config.latency_ms.percentile(95),
+                config.batch_latency.P99(), config.batch_latency.P999(),
+                100.0 * HitRate(config.metrics_delta));
   }
-  engine.set_ttf_cache_enabled(true);
 
-  double base_qps_cache = 0.0;
-  double base_qps_nocache = 0.0;
+  double base_qps = 0.0;
   for (const ConfigResult& r : results) {
-    if (r.threads == 1) (r.cache ? base_qps_cache : base_qps_nocache) = r.qps;
+    if (r.threads == 1) base_qps = r.qps;
   }
 
   if (!json_path.empty()) {
@@ -205,24 +219,23 @@ int Main(int argc, char** argv) {
     w.EndObject();
     w.Key("host");
     w.BeginObject();
+    w.Key("cpu_model");
+    w.String(CpuModel());
     w.Key("hardware_concurrency");
     w.Uint(hw_threads);
     w.EndObject();
     w.Key("configs");
     w.BeginArray();
     for (const ConfigResult& r : results) {
-      const double base = r.cache ? base_qps_cache : base_qps_nocache;
       w.BeginObject();
       w.Key("threads");
       w.Int(r.threads);
-      w.Key("ttf_cache");
-      w.Bool(r.cache);
       w.Key("wall_ms");
       w.Double(r.wall_ms);
       w.Key("qps");
       w.Double(r.qps);
       w.Key("speedup_vs_1_thread");
-      w.Double(base > 0.0 ? r.qps / base : 0.0);
+      w.Double(base_qps > 0.0 ? r.qps / base_qps : 0.0);
       w.Key("latency_ms");
       w.BeginObject();
       w.Key("mean");
@@ -239,15 +252,13 @@ int Main(int argc, char** argv) {
       w.Key("ttf_cache_stats");
       w.BeginObject();
       w.Key("hits");
-      w.Uint(r.cache_stats.hits);
+      w.Uint(r.metrics_delta.counter("capefp.ttf_cache.hits"));
       w.Key("misses");
-      w.Uint(r.cache_stats.misses);
-      w.Key("evictions");
-      w.Uint(r.cache_stats.evictions);
+      w.Uint(r.metrics_delta.counter("capefp.ttf_cache.misses"));
       w.Key("bypasses");
-      w.Uint(r.cache_stats.bypasses);
+      w.Uint(r.metrics_delta.counter("capefp.ttf_cache.bypasses"));
       w.Key("hit_rate");
-      w.Double(r.cache_stats.hit_rate());
+      w.Double(HitRate(r.metrics_delta));
       w.EndObject();
       w.Key("batch_latency_ms");
       w.BeginObject();

@@ -21,7 +21,11 @@ FastestPathEngine::FastestPathEngine(const network::RoadNetwork* network,
 util::StatusOr<std::unique_ptr<FastestPathEngine>> FastestPathEngine::Create(
     const network::RoadNetwork* network, const EngineOptions& options) {
   CAPEFP_CHECK(network != nullptr);
-  CAPEFP_CHECK_GE(options.simplify_eps, 0.0);
+  if (!std::isfinite(options.simplify_eps) || options.simplify_eps < 0.0) {
+    return util::Status::InvalidArgument(
+        "simplify_eps must be a finite number of seconds >= 0, got " +
+        std::to_string(options.simplify_eps));
+  }
   auto engine = std::unique_ptr<FastestPathEngine>(
       new FastestPathEngine(network, options));
   // The engine knob is user-facing seconds; the search layer runs on the
@@ -56,7 +60,10 @@ util::StatusOr<std::unique_ptr<FastestPathEngine>> FastestPathEngine::Create(
   if (options.ttf_cache_entries > 0) {
     engine->ttf_cache_ =
         std::make_unique<network::EdgeTtfCache>(options.ttf_cache_entries);
-    engine->set_ttf_cache_enabled(true);
+    engine->memory_accessor_->set_ttf_cache(engine->ttf_cache_.get());
+    if (engine->disk_accessor_.has_value()) {
+      engine->disk_accessor_->set_ttf_cache(engine->ttf_cache_.get());
+    }
   }
 
   if (options.query_mode == EngineOptions::QueryMode::kHierarchicalTwoPhase) {
@@ -154,7 +161,25 @@ void FastestPathEngine::InitMetrics() {
     return static_cast<double>(arena_high_water_bytes_.load());
   });
   if (ttf_cache_ != nullptr) {
-    ttf_cache_->RegisterMetrics(&metrics_, "capefp.ttf_cache");
+    // Folded once per query from the query's own SearchStats (no shared
+    // counter on the per-edge hit path), so per-query, per-batch and
+    // registry totals agree exactly even under concurrency.
+    ttf_hits_ = metrics_.GetCounter("capefp.ttf_cache.hits");
+    ttf_misses_ = metrics_.GetCounter("capefp.ttf_cache.misses");
+    ttf_bypasses_ = metrics_.GetCounter("capefp.ttf_cache.bypasses");
+    metrics_.AddCallbackCounter("capefp.ttf_cache.lookups", [this] {
+      return ttf_hits_->Value() + ttf_misses_->Value();
+    });
+    metrics_.AddCallbackGauge("capefp.ttf_cache.hit_rate", [this] {
+      const uint64_t hits = ttf_hits_->Value();
+      const uint64_t lookups = hits + ttf_misses_->Value();
+      return lookups == 0 ? 0.0
+                          : static_cast<double>(hits) /
+                                static_cast<double>(lookups);
+    });
+    metrics_.AddCallbackGauge("capefp.ttf_cache.entries", [this] {
+      return static_cast<double>(ttf_cache_->size());
+    });
   }
   if (store_ != nullptr) {
     store_->RegisterMetrics(&metrics_, "capefp.storage");
@@ -205,6 +230,27 @@ uint64_t AsU64(int64_t v) { return v < 0 ? 0 : static_cast<uint64_t>(v); }
 
 }  // namespace
 
+void FastestPathEngine::FoldSearchStats(const SearchStats& stats) {
+  search_expansions_->Add(AsU64(stats.expansions));
+  search_pushes_->Add(AsU64(stats.pushes));
+  search_pruned_dominated_->Add(AsU64(stats.pruned_dominated));
+  search_pruned_bound_->Add(AsU64(stats.pruned_bound));
+  search_pruned_filtered_->Add(AsU64(stats.pruned_filtered));
+  if (ttf_cache_ != nullptr) {
+    ttf_hits_->Add(AsU64(stats.ttf_hits));
+    ttf_misses_->Add(AsU64(stats.ttf_misses));
+    ttf_bypasses_->Add(AsU64(stats.ttf_bypasses));
+  }
+  if (options_.search.simplify_eps > 0.0) {
+    simplify_breakpoints_in_->Add(AsU64(stats.simplify_breakpoints_in));
+    simplify_breakpoints_out_->Add(AsU64(stats.simplify_breakpoints_out));
+    simplify_refined_paths_->Add(AsU64(stats.refined_paths));
+    simplify_refine_edges_->Add(AsU64(stats.refine_edges));
+    simplify_refine_ms_->Record(
+        obs::FlightClock::NanosToMs(stats.refine_nanos));
+  }
+}
+
 AllFpResult FastestPathEngine::RunOneAllFp(const ProfileQuery& query,
                                            QueryScratch* scratch,
                                            obs::Trace* trace,
@@ -240,19 +286,16 @@ AllFpResult FastestPathEngine::RunOneAllFp(const ProfileQuery& query,
                    static_cast<uint16_t>(obs::FlightSpan::kQueryAllFp));
   }
 
-  // Storage and cache movement is attributed by before/after deltas of the
-  // components' own counters (exact when queries run sequentially; see the
+  // Storage movement is attributed by before/after deltas of the store's
+  // own counters (exact when queries run sequentially; see the
   // RunBatchWithMetrics comment for the concurrent caveat). The flight
-  // recorder needs the deltas unconditionally — two lock-free stats
-  // snapshots per query against multi-millisecond searches.
+  // recorder needs the deltas unconditionally — two stats snapshots per
+  // query against multi-millisecond searches. Edge-TTF memo use comes
+  // exactly from the query's own SearchStats instead.
   const bool attributing = tracing || flight != nullptr;
   std::optional<storage::CcamStats> storage_before;
-  std::optional<network::EdgeTtfCacheStats> cache_before;
   obs::Trace::Span root;
-  if (attributing) {
-    storage_before = storage_stats();
-    cache_before = ttf_cache_stats();
-  }
+  if (attributing) storage_before = storage_stats();
   if (tracing) {
     root = trace->StartSpan("query.all_fp");
     root.AddAttr("source", static_cast<double>(query.source));
@@ -343,18 +386,16 @@ AllFpResult FastestPathEngine::RunOneAllFp(const ProfileQuery& query,
                      static_cast<uint32_t>(result.stats.expansions),
                      AsU64(result.stats.pushes));
     }
-    if (attributing && cache_before.has_value()) {
-      const network::EdgeTtfCacheStats delta =
-          ttf_cache_stats()->DeltaSince(*cache_before);
+    if (ttf_cache_ != nullptr) {
+      const int64_t hits = result.stats.ttf_hits;
+      const int64_t misses = result.stats.ttf_misses;
       if (tracing) {
-        search_span.AddAttr("ttf_cache_hits",
-                            static_cast<double>(delta.hits));
-        search_span.AddAttr("ttf_cache_misses",
-                            static_cast<double>(delta.misses));
+        search_span.AddAttr("ttf_cache_hits", static_cast<double>(hits));
+        search_span.AddAttr("ttf_cache_misses", static_cast<double>(misses));
       }
       if (flight != nullptr) {
         flight->EmitAt(search_end_ticks, obs::FlightEventType::kCacheDelta,
-                       0, static_cast<uint32_t>(delta.hits), delta.misses);
+                       0, static_cast<uint32_t>(AsU64(hits)), AsU64(misses));
       }
     }
     if (attributing && storage_before.has_value()) {
@@ -395,20 +436,7 @@ AllFpResult FastestPathEngine::RunOneAllFp(const ProfileQuery& query,
   if (elapsed_ms != nullptr) *elapsed_ms = ms;
   queries_total_->Add(1);
   query_latency_ms_->RecordWithExemplar(ms, query_id);
-  search_expansions_->Add(AsU64(result.stats.expansions));
-  search_pushes_->Add(AsU64(result.stats.pushes));
-  search_pruned_dominated_->Add(AsU64(result.stats.pruned_dominated));
-  search_pruned_bound_->Add(AsU64(result.stats.pruned_bound));
-  search_pruned_filtered_->Add(AsU64(result.stats.pruned_filtered));
-  if (options_.search.simplify_eps > 0.0) {
-    simplify_breakpoints_in_->Add(AsU64(result.stats.simplify_breakpoints_in));
-    simplify_breakpoints_out_->Add(
-        AsU64(result.stats.simplify_breakpoints_out));
-    simplify_refined_paths_->Add(AsU64(result.stats.refined_paths));
-    simplify_refine_edges_->Add(AsU64(result.stats.refine_edges));
-    simplify_refine_ms_->Record(
-        obs::FlightClock::NanosToMs(result.stats.refine_nanos));
-  }
+  FoldSearchStats(result.stats);
   if (flight != nullptr) {
     // The trailing burst shares one clock read: these four events carry
     // counters, not durations, so a common stamp loses nothing and saves
@@ -478,20 +506,7 @@ SingleFpResult FastestPathEngine::SingleFastestPath(const ProfileQuery& query,
   }
   queries_total_->Add(1);
   query_latency_ms_->Record(MillisSince(start));
-  search_expansions_->Add(AsU64(result.stats.expansions));
-  search_pushes_->Add(AsU64(result.stats.pushes));
-  search_pruned_dominated_->Add(AsU64(result.stats.pruned_dominated));
-  search_pruned_bound_->Add(AsU64(result.stats.pruned_bound));
-  search_pruned_filtered_->Add(AsU64(result.stats.pruned_filtered));
-  if (options_.search.simplify_eps > 0.0) {
-    simplify_breakpoints_in_->Add(AsU64(result.stats.simplify_breakpoints_in));
-    simplify_breakpoints_out_->Add(
-        AsU64(result.stats.simplify_breakpoints_out));
-    simplify_refined_paths_->Add(AsU64(result.stats.refined_paths));
-    simplify_refine_edges_->Add(AsU64(result.stats.refine_edges));
-    simplify_refine_ms_->Record(
-        obs::FlightClock::NanosToMs(result.stats.refine_nanos));
-  }
+  FoldSearchStats(result.stats);
   return result;
 }
 
@@ -650,31 +665,6 @@ std::optional<storage::CcamStats> FastestPathEngine::storage_stats() const {
 
 void FastestPathEngine::ResetStorageStats() {
   if (store_ != nullptr) store_->ResetStats();
-}
-
-std::optional<network::EdgeTtfCacheStats> FastestPathEngine::ttf_cache_stats()
-    const {
-  if (ttf_cache_ == nullptr) return std::nullopt;
-  return ttf_cache_->stats();
-}
-
-void FastestPathEngine::ResetTtfCacheStats() {
-  if (ttf_cache_ != nullptr) ttf_cache_->ResetStats();
-}
-
-void FastestPathEngine::ClearTtfCache() {
-  if (ttf_cache_ != nullptr) ttf_cache_->Clear();
-}
-
-void FastestPathEngine::set_ttf_cache_enabled(bool enabled) {
-  network::EdgeTtfCache* cache = enabled ? ttf_cache_.get() : nullptr;
-  if (enabled && cache == nullptr) return;  // No cache to enable.
-  memory_accessor_->set_ttf_cache(cache);
-  if (disk_accessor_.has_value()) disk_accessor_->set_ttf_cache(cache);
-}
-
-bool FastestPathEngine::ttf_cache_enabled() const {
-  return memory_accessor_->ttf_cache() != nullptr;
 }
 
 }  // namespace capefp::core

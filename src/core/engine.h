@@ -67,11 +67,13 @@ struct EngineOptions {
   // path is bit-identical to an engine without the knob. > 0 runs the
   // profile searches in ε-banded mode (ProfileSearchOptions::simplify_eps,
   // which this is converted into, in minutes): edge functions are served
-  // ε-simplified from the TTF cache under (ε, side)-tagged keys, labels are
-  // re-simplified after every composition, and each path that reaches the
-  // target is re-expanded exactly before it is returned — so results stay
-  // value-exact while the search carries far fewer breakpoints. Metrics
-  // appear under capefp.tdf.simplify.*. See DESIGN.md §12.
+  // ε-simplified from the edge-TTF memo under (ε, side)-tagged keys,
+  // labels are re-simplified after every composition, and each path that
+  // reaches the target is re-expanded exactly before it is returned — so
+  // results stay value-exact while the search carries far fewer
+  // breakpoints. Metrics appear under capefp.tdf.simplify.*. See DESIGN.md
+  // §12. Create rejects a negative, NaN or infinite value with
+  // InvalidArgument.
   double simplify_eps = 0.0;
 
   // When non-empty, a CCAM page file is built at this path (overwriting)
@@ -81,9 +83,11 @@ struct EngineOptions {
   uint32_t ccam_page_size = 2048;
   size_t ccam_buffer_pool_pages = 256;
 
-  // Capacity (entries) of the shared edge travel-time-function cache that
-  // memoizes per-(pattern, edge length, day) derived functions for the
-  // forward profile searches. 0 disables the cache entirely.
+  // Capacity (entries) of the shared, insert-only edge travel-time-function
+  // memo that holds per-(pattern, edge length, day) derived functions for
+  // the forward profile searches (network::EdgeTtfCache). Entries live as
+  // long as the engine; once full, further functions are derived on
+  // demand. 0 disables the memo entirely.
   size_t ttf_cache_entries = 1 << 16;
 
   // Always-on flight recorder + tail-latency slow-query capture
@@ -127,7 +131,8 @@ class FastestPathEngine {
   };
 
   // `network` must outlive the engine. Builds the estimator index (and the
-  // CCAM file and hierarchical index if requested) eagerly.
+  // CCAM file and hierarchical index if requested) eagerly. Returns
+  // InvalidArgument for a negative, NaN or infinite simplify_eps.
   static util::StatusOr<std::unique_ptr<FastestPathEngine>> Create(
       const network::RoadNetwork* network, const EngineOptions& options = {});
 
@@ -142,7 +147,7 @@ class FastestPathEngine {
 
   // Answers `queries` as AllFastestPaths would, one result per query in
   // order, using up to `threads` worker threads. Workers share the network,
-  // boundary index, TTF cache, and (when disk-backed) the buffer pool, and
+  // boundary index, edge-TTF memo, and (when disk-backed) the buffer pool, and
   // keep private search state, so results are bit-identical to running the
   // queries sequentially through this engine. If `per_query_millis` is
   // non-null it receives one wall-clock latency per query.
@@ -154,8 +159,11 @@ class FastestPathEngine {
   // batch-local latency histogram, and a registry snapshot taken after the
   // batch. `traces`, when non-null, is resized to queries.size() and trace
   // i records query i's spans (each query is traced by exactly one worker,
-  // so the traces need no locking; per-query storage/cache deltas inside a
-  // concurrent batch attribute shared-stats movement approximately).
+  // so the traces need no locking). Edge-TTF memo use is counted in each
+  // query's own SearchStats, so per-query cache attribution (trace attrs,
+  // kCacheDelta flight events) is exact inside a concurrent batch;
+  // per-query storage deltas still attribute shared buffer-pool movement
+  // approximately.
   BatchResult RunBatchWithMetrics(std::span<const ProfileQuery> queries,
                                   int threads,
                                   std::vector<obs::Trace>* traces = nullptr);
@@ -172,8 +180,8 @@ class FastestPathEngine {
                               obs::Trace* trace = nullptr);
 
   // The engine's metric tree ("capefp.*"): engine counters and latency
-  // histograms plus callback metrics for the TTF cache and the CCAM
-  // storage stack. Valid for the engine's lifetime.
+  // histograms, the edge-TTF memo's counters, and callback metrics for
+  // the CCAM storage stack. Valid for the engine's lifetime.
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
   // The always-on flight recorder; null when the engine was created with
@@ -187,18 +195,6 @@ class FastestPathEngine {
   // Storage statistics; nullopt when running purely in memory.
   std::optional<storage::CcamStats> storage_stats() const;
   void ResetStorageStats();
-
-  // Edge-TTF cache statistics; nullopt when the engine was created with
-  // ttf_cache_entries == 0.
-  std::optional<network::EdgeTtfCacheStats> ttf_cache_stats() const;
-  void ResetTtfCacheStats();
-  // Drops all cached functions (the next batch starts cold).
-  void ClearTtfCache();
-  // Detaches/reattaches the cache without discarding entries, so a
-  // benchmark can compare cached vs uncached runs on one engine. No effect
-  // when the engine has no cache.
-  void set_ttf_cache_enabled(bool enabled);
-  bool ttf_cache_enabled() const;
 
   bool disk_backed() const { return store_ != nullptr; }
   const network::RoadNetwork& road_network() const { return *network_; }
@@ -222,6 +218,10 @@ class FastestPathEngine {
   // non-null, receives the query wall-clock time.
   AllFpResult RunOneAllFp(const ProfileQuery& query, QueryScratch* scratch,
                           obs::Trace* trace, double* elapsed_ms);
+
+  // Adds one query's search work (and its edge-TTF memo use) to the
+  // engine counters.
+  void FoldSearchStats(const SearchStats& stats);
 
   // Shared worker-pool body of RunBatch / RunBatchWithMetrics. `traces`
   // (pre-sized) and `batch_latency` may be null.
@@ -278,6 +278,10 @@ class FastestPathEngine {
   obs::Counter* search_pruned_bound_ = nullptr;
   obs::Counter* search_pruned_filtered_ = nullptr;
   obs::Counter* td_expanded_nodes_ = nullptr;
+  // capefp.ttf_cache.*; registered only when ttf_cache_ exists.
+  obs::Counter* ttf_hits_ = nullptr;
+  obs::Counter* ttf_misses_ = nullptr;
+  obs::Counter* ttf_bypasses_ = nullptr;
   // Two-phase counters/histograms; registered only when hier_index_ exists.
   obs::Counter* hier_queries_ = nullptr;
   obs::Counter* hier_fallbacks_ = nullptr;

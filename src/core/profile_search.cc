@@ -40,6 +40,24 @@ constexpr size_t kMinSimplifyPoints = 8;
 constexpr double kSourceHopEpsFraction = 0.25;
 constexpr double kMinRoomFraction = 0.125;
 
+// Per-query edge-TTF accounting: plain increments on the worker's own
+// stats, so the memo's hit path never writes a shared cache line.
+void CountTtf(network::TtfSource source, SearchStats* stats) {
+  switch (source) {
+    case network::TtfSource::kHit:
+      ++stats->ttf_hits;
+      break;
+    case network::TtfSource::kMiss:
+      ++stats->ttf_misses;
+      break;
+    case network::TtfSource::kBypass:
+      ++stats->ttf_bypasses;
+      break;
+    case network::TtfSource::kUncached:
+      break;
+  }
+}
+
 }  // namespace
 
 ProfileSearch::ProfileSearch(network::NetworkAccessor* accessor,
@@ -239,7 +257,7 @@ LowerBorder ProfileSearch::Run(const ProfileQuery& query,
       const PwlFunction& path_tt =
           labels[static_cast<size_t>(top.label)].travel_time;
       // §4.4 expansion, routed through the accessor so the edge function
-      // over the arrival interval can come from the shared TTF cache.
+      // over the arrival interval can come from the shared edge-TTF memo.
       const double arrive_lo =
           path_tt.domain_lo() + path_tt.Value(path_tt.domain_lo());
       const double arrive_hi =
@@ -247,16 +265,17 @@ LowerBorder ProfileSearch::Run(const ProfileQuery& query,
       uint64_t ttf_start = 0;
       if (tracing) ttf_start = obs::FlightClock::NowNanos();
       if (source_hop) {
-        accessor_->EdgeTtfSimplifiedInto(edge.pattern, edge.distance_miles,
-                                         arrive_lo, arrive_hi,
-                                         kSourceHopEpsFraction * band,
-                                         tdf::SimplifySide::kLower,
-                                         &s.edge_tmp, &s.edge_fn);
+        CountTtf(accessor_->EdgeTtfSimplifiedInto(
+                     edge.pattern, edge.distance_miles, arrive_lo, arrive_hi,
+                     kSourceHopEpsFraction * band, tdf::SimplifySide::kLower,
+                     &s.edge_tmp, &s.edge_fn),
+                 stats);
       } else {
         // Deeper hops compose with the EXACT edge function; the band comes
         // from re-simplifying the composition below.
-        accessor_->EdgeTtfInto(edge.pattern, edge.distance_miles, arrive_lo,
-                               arrive_hi, &s.edge_fn);
+        CountTtf(accessor_->EdgeTtfInto(edge.pattern, edge.distance_miles,
+                                        arrive_lo, arrive_hi, &s.edge_fn),
+                 stats);
       }
       if (tracing) {
         edge_ttf_ms += MillisSinceNanos(ttf_start);
@@ -364,7 +383,7 @@ void ProfileSearch::RefineExactPath(const ProfileQuery& query,
   }
   std::reverse(chain.begin(), chain.end());
   // Re-expand exactly, mirroring the ε=0 search composition step for step:
-  // EdgeTtfInto serves uncompressed functions (the cache's (0, kExact)
+  // EdgeTtfInto serves uncompressed functions (the memo's (0, kExact)
   // entries), so the refined function equals what the exact search would
   // have produced for this path, bit for bit.
   PwlFunction& path = s.refine_path;
@@ -377,8 +396,9 @@ void ProfileSearch::RefineExactPath(const ProfileQuery& query,
   for (const auto& [pattern, distance_miles] : chain) {
     const double arrive_lo = path.domain_lo() + path.Value(path.domain_lo());
     const double arrive_hi = path.domain_hi() + path.Value(path.domain_hi());
-    accessor_->EdgeTtfInto(pattern, distance_miles, arrive_lo, arrive_hi,
-                           &s.refine_edge);
+    CountTtf(accessor_->EdgeTtfInto(pattern, distance_miles, arrive_lo,
+                                    arrive_hi, &s.refine_edge),
+             stats);
     tdf::ComposePathWithEdgeInto(path, s.refine_edge, &s.refine_tmp);
     std::swap(path, s.refine_tmp);
     ++stats->refine_edges;

@@ -185,6 +185,14 @@ struct SearchStats {
   int64_t refined_paths = 0;
   int64_t refine_edges = 0;
   uint64_t refine_nanos = 0;
+  // Edge-TTF reads by how the accessor served them (network::TtfSource),
+  // refinement reads included: cut from a memoized function, derived on a
+  // memo miss, or derived because the interval spans midnight. All zero
+  // without a memo. Plain per-query counts: the engine folds them into
+  // capefp.ttf_cache.* once per query.
+  int64_t ttf_hits = 0;
+  int64_t ttf_misses = 0;
+  int64_t ttf_bypasses = 0;
 };
 
 struct SingleFpResult {

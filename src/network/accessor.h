@@ -58,26 +58,28 @@ class NetworkAccessor {
 
   // The edge travel-time function τ(l) for leaving times l in [lo, hi],
   // equivalent to tdf::EdgeTravelTimeFunction over the same interval. With
-  // a cache attached and [lo, hi] inside one day, the function is cut from
-  // the memoized full-day derivation; multi-day intervals bypass the cache.
-  // Thread-safe when the attached cache is (the derivation itself only
+  // a memo attached and [lo, hi] inside one day, the function is cut from
+  // the memoized full-day derivation; multi-day intervals bypass the memo.
+  // Thread-safe (the memo is lock-free, and the derivation itself only
   // reads the immutable schema).
   //
   // EdgeTtfInto is the implementation; it rebuilds the caller-owned `out`
   // in place (reusing its storage and arena binding) with a result exactly
-  // equal to EdgeTtf's, so cache hits cut the shared full-day function
-  // directly into a reusable buffer instead of copying it.
+  // equal to EdgeTtf's, so memo hits cut the shared full-day function
+  // directly into a reusable buffer instead of copying it. It returns how
+  // the request was served, which the search counts per query.
   tdf::PwlFunction EdgeTtf(PatternId pattern, double distance_miles,
                            double lo, double hi);
-  void EdgeTtfInto(PatternId pattern, double distance_miles, double lo,
-                   double hi, tdf::PwlFunction* out);
+  TtfSource EdgeTtfInto(PatternId pattern, double distance_miles, double lo,
+                        double hi, tdf::PwlFunction* out);
 
-  // The memoized full-day function for `day` as a shared handle (no copy),
-  // for callers that want the whole-day view rather than a restriction.
-  // Requires an attached cache. Thread-safe when the cache is.
-  EdgeTtfCache::FunctionPtr EdgeTtfFullDayShared(PatternId pattern,
-                                                 double distance_miles,
-                                                 int64_t day);
+  // The memoized full-day function for `day` (no copy), for callers that
+  // want the whole-day view rather than a restriction; valid for the
+  // memo's lifetime. Requires an attached memo. Null when the memo is full
+  // and holds no entry for the key. `*hit` tells whether it held one.
+  const tdf::PwlFunction* EdgeTtfFullDayShared(PatternId pattern,
+                                               double distance_miles,
+                                               int64_t day, bool* hit);
 
   // ε-simplified counterpart of EdgeTtfInto: the result brackets the exact
   // edge function on the chosen side (side kLower: never above exact,
@@ -86,25 +88,26 @@ class NetworkAccessor {
   // additionally clamped to the edge's exact minimum travel time, so a
   // simplified travel time can never go negative (the profile search's key
   // and termination reasoning assumes non-negative edge times). eps <= 0
-  // degenerates to EdgeTtfInto exactly. With a cache attached and [lo, hi]
+  // degenerates to EdgeTtfInto exactly. With a memo attached and [lo, hi]
   // inside one day, the function is cut from the memoized ε-simplified
   // full-day derivation (keyed by (ε, side) — see EdgeTtfCache); otherwise
   // the exact function is derived into `*tmp` and simplified into `*out`.
   // `tmp` and `out` must be distinct.
-  void EdgeTtfSimplifiedInto(PatternId pattern, double distance_miles,
-                             double lo, double hi, double eps,
-                             tdf::SimplifySide side, tdf::PwlFunction* tmp,
-                             tdf::PwlFunction* out);
+  TtfSource EdgeTtfSimplifiedInto(PatternId pattern, double distance_miles,
+                                  double lo, double hi, double eps,
+                                  tdf::SimplifySide side,
+                                  tdf::PwlFunction* tmp,
+                                  tdf::PwlFunction* out);
 
   // The memoized ε-simplified full-day function (the derivation behind
-  // EdgeTtfSimplifiedInto's cached path). Requires an attached cache and
-  // eps > 0. Thread-safe when the cache is.
-  EdgeTtfCache::FunctionPtr EdgeTtfFullDaySimplifiedShared(
+  // EdgeTtfSimplifiedInto's memo path), as EdgeTtfFullDayShared. Requires
+  // an attached memo and eps > 0.
+  const tdf::PwlFunction* EdgeTtfFullDaySimplifiedShared(
       PatternId pattern, double distance_miles, int64_t day, double eps,
-      tdf::SimplifySide side);
+      tdf::SimplifySide side, bool* hit);
 
-  // Attaches a shared derived-function cache (not owned; null detaches).
-  // The cache may be shared by several accessors over networks with the
+  // Attaches a shared derived-function memo (not owned; null detaches).
+  // The memo may be shared by several accessors over networks with the
   // same schema — e.g. the memory and disk accessors of one engine — since
   // keys depend only on pattern id, edge length, and day.
   void set_ttf_cache(EdgeTtfCache* cache) { ttf_cache_ = cache; }

@@ -1,81 +1,43 @@
 #include "src/network/ttf_cache.h"
 
-#include <algorithm>
-#include <string>
+#include <bit>
 
-#include "src/obs/metrics.h"
 #include "src/util/check.h"
 
 namespace capefp::network {
 
-EdgeTtfCache::EdgeTtfCache(size_t capacity_entries, size_t num_shards) {
+EdgeTtfCache::EdgeTtfCache(size_t capacity_entries)
+    : capacity_(capacity_entries) {
   CAPEFP_CHECK_GE(capacity_entries, 1u);
-  CAPEFP_CHECK_GE(num_shards, 1u);
-  num_shards = std::min(num_shards, capacity_entries);
-  shard_capacity_ = (capacity_entries + num_shards - 1) / num_shards;
-  shards_ = std::vector<Shard>(num_shards);
+  // At least twice the budget keeps probes short and guarantees a null
+  // slot on every probe sequence, so probing always terminates.
+  const size_t slots = std::bit_ceil(2 * capacity_entries);
+  mask_ = slots - 1;
+  slots_ = std::make_unique<std::atomic<Entry*>[]>(slots);  // All null.
 }
 
-// Lock-free: the counters are relaxed atomics (see Shard), and the flight
-// recorder calls this twice per query for delta attribution.
-EdgeTtfCacheStats EdgeTtfCache::stats() const {
-  EdgeTtfCacheStats out;
-  for (const Shard& shard : shards_) {
-    out.hits += shard.hits.load(std::memory_order_relaxed);
-    out.misses += shard.misses.load(std::memory_order_relaxed);
-    out.evictions += shard.evictions.load(std::memory_order_relaxed);
+EdgeTtfCache::~EdgeTtfCache() {
+  for (size_t i = 0; i <= mask_; ++i) {
+    delete slots_[i].load(std::memory_order_relaxed);
   }
-  out.bypasses = bypasses_.load(std::memory_order_relaxed);
-  return out;
 }
 
-void EdgeTtfCache::ResetStats() {
-  for (Shard& shard : shards_) {
-    shard.hits.store(0, std::memory_order_relaxed);
-    shard.misses.store(0, std::memory_order_relaxed);
-    shard.evictions.store(0, std::memory_order_relaxed);
-  }
-  bypasses_.store(0, std::memory_order_relaxed);
-}
-
-void EdgeTtfCache::Clear() {
-  for (Shard& shard : shards_) {
-    util::MutexLock lock(&shard.mu);
-    shard.lru.clear();
-    shard.map.clear();
-    shard.hits.store(0, std::memory_order_relaxed);
-    shard.misses.store(0, std::memory_order_relaxed);
-    shard.evictions.store(0, std::memory_order_relaxed);
-  }
-  bypasses_.store(0, std::memory_order_relaxed);
-}
-
-size_t EdgeTtfCache::size() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    util::MutexLock lock(&shard.mu);
-    n += shard.map.size();
-  }
-  return n;
-}
-
-void EdgeTtfCache::RegisterMetrics(obs::MetricsRegistry* registry,
-                                   const std::string& prefix) const {
-  registry->AddCallbackCounter(prefix + ".hits",
-                               [this] { return stats().hits; });
-  registry->AddCallbackCounter(prefix + ".misses",
-                               [this] { return stats().misses; });
-  registry->AddCallbackCounter(prefix + ".evictions",
-                               [this] { return stats().evictions; });
-  registry->AddCallbackCounter(prefix + ".bypasses",
-                               [this] { return stats().bypasses; });
-  registry->AddCallbackCounter(prefix + ".lookups",
-                               [this] { return stats().lookups(); });
-  registry->AddCallbackGauge(prefix + ".hit_rate",
-                             [this] { return stats().hit_rate(); });
-  registry->AddCallbackGauge(prefix + ".entries", [this] {
-    return static_cast<double>(size());
-  });
+size_t EdgeTtfCache::SlotOf(const Key& k) const {
+  uint64_t h = static_cast<uint64_t>(k.pattern) * 0x9e3779b97f4a7c15ull;
+  h ^= static_cast<uint64_t>(k.day) + 0x9e3779b97f4a7c15ull + (h << 6) +
+       (h >> 2);
+  h ^= k.distance_bits + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  h ^= k.eps_bits + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  h ^= static_cast<uint64_t>(k.variant) + 0x9e3779b97f4a7c15ull + (h << 6) +
+       (h >> 2);
+  // Murmur3 finalizer: the slot index takes the low bits, which the
+  // combine above leaves poorly mixed.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return static_cast<size_t>(h) & mask_;
 }
 
 }  // namespace capefp::network

@@ -1,4 +1,4 @@
-// Sharded LRU cache of derived edge travel-time functions.
+// Insert-only, lock-free memo of derived edge travel-time functions.
 //
 // Every ProfileSearch expansion needs the edge's piecewise-linear
 // travel-time function τ(l) over the arrival interval of the path being
@@ -7,84 +7,48 @@
 // repeated computation of a query batch: the same edge is re-derived by
 // every label routed through it, in every query of the batch.
 //
-// The cache memoizes one *full-day* function per (pattern, distance, day)
-// key — the engine's EdgeTtf() answers any sub-interval of that day by
+// The memo holds one *full-day* function per (pattern, distance, day)
+// key — the accessor's EdgeTtf() answers any sub-interval of that day by
 // restriction, so queries with different (but same-day) leaving intervals
 // share entries. The day index pins the day category (and the category of
 // the following day, which a traversal crossing midnight reads), so
 // workday and non-workday lookups of the same edge are distinct entries and
-// never alias. Entries are immutable once derived; the derivation must be
-// a pure function of the key, which makes results independent of cache
-// state — a batch run and a sequential run produce bit-identical answers.
+// never alias. The derivation must be a pure function of the key, which
+// makes results independent of memo state — a batch run and a sequential
+// run produce bit-identical answers.
 //
-// Thread safety: fully internally synchronized. Keys are hashed onto
-// independently locked shards, so the read-mostly query workload contends
-// only on same-shard misses. Returned functions are shared_ptrs and stay
-// valid after eviction. Each shard's LRU state is CAPEFP_GUARDED_BY its
-// own mutex, so under CAPEFP_THREAD_SAFETY the compiler proves no shard
-// structure is ever touched without that shard's lock; shard locks are
-// leaves — nothing is acquired while one is held.
+// Thread safety: lock-free. The table is open addressing over
+// std::atomic<Entry*> slots, sized to at least twice the entry budget. A
+// slot goes from null to an entry exactly once and never changes again,
+// so a hit is one hash probe plus acquire loads: no lock, no refcount and
+// no write to shared memory. A miss derives outside any lock and publishes
+// with a compare-and-swap; when two threads race on one key both derive,
+// the loser frees its copy and returns the winner's (the copies are
+// bit-identical, so nothing observable depends on who won). Entries live
+// until the memo dies, so returned pointers stay valid for its lifetime.
+// Once the entry budget is spent the memo declines new keys and callers
+// derive on demand. The memo keeps no hit/miss counters: the accessor
+// reports how each request was served (TtfSource) and the search counts
+// that in its own per-query stats, so the hit path touches no shared
+// cache line.
 #ifndef CAPEFP_NETWORK_TTF_CACHE_H_
 #define CAPEFP_NETWORK_TTF_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <list>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/network/road_network.h"
 #include "src/tdf/pwl_function.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
-
-namespace capefp::obs {
-class MetricsRegistry;
-}  // namespace capefp::obs
 
 namespace capefp::network {
-
-// Aggregated counters (a snapshot across all shards). A "bypass" is a
-// request the cache declined to serve — the leaving interval spanned a
-// midnight, so no single day entry covers it.
-struct EdgeTtfCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t bypasses = 0;
-
-  uint64_t lookups() const { return hits + misses; }
-  double hit_rate() const {
-    return lookups() == 0 ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(lookups());
-  }
-
-  // Counter movement since `earlier` (a snapshot of the same cache taken
-  // before this one); saturates at 0 if the stats were reset in between.
-  // Used for per-query/per-phase attribution (engine traces and the flight
-  // recorder's kCacheDelta events).
-  EdgeTtfCacheStats DeltaSince(const EdgeTtfCacheStats& earlier) const {
-    auto sub = [](uint64_t now, uint64_t then) {
-      return now >= then ? now - then : 0;
-    };
-    EdgeTtfCacheStats d;
-    d.hits = sub(hits, earlier.hits);
-    d.misses = sub(misses, earlier.misses);
-    d.evictions = sub(evictions, earlier.evictions);
-    d.bypasses = sub(bypasses, earlier.bypasses);
-    return d;
-  }
-};
 
 // Which derived form of the full-day function an entry holds. kExact is
 // the unsimplified derivation; kLower/kUpper are the one-sided ε
 // simplifications (tdf::SimplifySide) used by the engine's simplify_eps
-// mode. The variant — together with the ε value — is part of the cache
+// mode. The variant — together with the ε value — is part of the memo
 // key, so interleaved ε=0 and ε>0 queries (or different ε values) on the
 // same edge can never observe each other's entries.
 enum class TtfVariant : uint8_t {
@@ -93,86 +57,71 @@ enum class TtfVariant : uint8_t {
   kUpper = 2,
 };
 
+// How one edge-TTF request was served (NetworkAccessor::EdgeTtf*Into).
+enum class TtfSource : uint8_t {
+  kUncached,  // No memo attached: derived over the requested interval.
+  kHit,       // Cut from a memoized full-day function.
+  kMiss,      // Full-day function derived (published unless memo full).
+  kBypass,    // The interval spans midnight, so no day entry covers it.
+};
+
 class EdgeTtfCache {
  public:
-  using FunctionPtr = std::shared_ptr<const tdf::PwlFunction>;
-
-  // `capacity_entries` is the total entry budget, split evenly across
-  // `num_shards` (each shard keeps at least one entry).
-  explicit EdgeTtfCache(size_t capacity_entries, size_t num_shards = 8);
+  // At most `capacity_entries` (>= 1) functions are ever held.
+  explicit EdgeTtfCache(size_t capacity_entries);
+  ~EdgeTtfCache();
 
   EdgeTtfCache(const EdgeTtfCache&) = delete;
   EdgeTtfCache& operator=(const EdgeTtfCache&) = delete;
 
-  // The cached exact full-day function for (pattern, distance, day),
-  // deriving it with `derive` on a miss. `derive` runs under the shard lock
-  // and MUST be a pure function of the key (same key -> bit-identical
-  // function).
+  // The memoized full-day function for the key, deriving and publishing
+  // it with `derive` (returning a tdf::PwlFunction not bound to any arena)
+  // on a miss. `derive` runs outside any lock, possibly on several threads
+  // at once for one key, and MUST be a pure function of the key (same key
+  // -> bit-identical function). Exact entries use (eps 0, kExact); any
+  // future transform parameter must be folded into the key the same way.
+  // `*hit` tells whether the key was already present. Returns null —
+  // without calling `derive` — when the key is absent and the memo is
+  // full; the caller then derives the same function on demand.
   template <typename Fn>
-  FunctionPtr GetOrDerive(PatternId pattern, double distance_miles,
-                          int64_t day, Fn&& derive) {
-    return GetOrDerive(pattern, distance_miles, day, /*eps=*/0.0,
-                       TtfVariant::kExact, std::forward<Fn>(derive));
-  }
-
-  // Transform-aware lookup: the key additionally carries the function
-  // transform applied to the full-day derivation — currently the
-  // (ε, variant) pair of the bounded-error simplification. Exact entries
-  // use (0.0, kExact); any future transform parameter must be folded into
-  // the key the same way rather than aliasing an existing field.
-  template <typename Fn>
-  FunctionPtr GetOrDerive(PatternId pattern, double distance_miles,
-                          int64_t day, double eps, TtfVariant variant,
-                          Fn&& derive) {
+  const tdf::PwlFunction* GetOrDerive(PatternId pattern,
+                                      double distance_miles, int64_t day,
+                                      double eps, TtfVariant variant,
+                                      Fn&& derive, bool* hit) {
     const Key key = MakeKey(pattern, distance_miles, day, eps, variant);
-    Shard& shard = shards_[ShardIndex(key)];
-    util::MutexLock lock(&shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      // Load+store, not fetch_add: `mu` serializes writers, so the atomic
-      // only has to make the lock-free stats() read untorn, and a plain
-      // store skips the locked RMW on the per-edge hot path.
-      shard.hits.store(shard.hits.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->second;
+    size_t slot = SlotOf(key);
+    for (;; slot = (slot + 1) & mask_) {
+      const Entry* entry = slots_[slot].load(std::memory_order_acquire);
+      if (entry == nullptr) break;
+      if (entry->key == key) {
+        *hit = true;
+        return &entry->fn;
+      }
     }
-    shard.misses.store(shard.misses.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-    FunctionPtr fn =
-        std::make_shared<const tdf::PwlFunction>(derive());
-    shard.lru.emplace_front(key, fn);
-    shard.map[key] = shard.lru.begin();
-    while (shard.map.size() > shard_capacity_) {
-      shard.map.erase(shard.lru.back().first);
-      shard.lru.pop_back();
-      shard.evictions.store(
-          shard.evictions.load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
+    *hit = false;
+    // Reserve a place in the entry budget before deriving; the table has
+    // more slots than the budget, so the probe below always finds a null.
+    if (size_.fetch_add(1, std::memory_order_relaxed) >= capacity_) {
+      size_.fetch_sub(1, std::memory_order_relaxed);
+      return nullptr;
     }
-    return fn;
+    auto fresh = std::make_unique<Entry>(key, std::forward<Fn>(derive)());
+    for (;; slot = (slot + 1) & mask_) {
+      Entry* seen = nullptr;
+      if (slots_[slot].compare_exchange_strong(seen, fresh.get(),
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
+        return &fresh.release()->fn;
+      }
+      if (seen->key == key) {  // Lost the race: read the winner's copy.
+        size_.fetch_sub(1, std::memory_order_relaxed);
+        return &seen->fn;
+      }
+    }
   }
 
-  // Counts a request the cache could not serve (multi-day interval).
-  void RecordBypass() {
-    bypasses_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  EdgeTtfCacheStats stats() const;
-  void ResetStats();
-
-  // Publishes this cache's counters into `registry` under `prefix`
-  // (e.g. "capefp.ttf_cache" -> "capefp.ttf_cache.hits"). Registered as
-  // callback metrics polled at snapshot time, so the hot path pays
-  // nothing. The cache must outlive the registry's snapshots.
-  void RegisterMetrics(obs::MetricsRegistry* registry,
-                       const std::string& prefix) const;
-
-  // Drops every entry (and resets counters); the next batch starts cold.
-  void Clear();
-
-  size_t size() const;
-  size_t capacity() const { return shard_capacity_ * shards_.size(); }
+  // Entries held (plus any whose derivation is in flight).
+  size_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:
   struct Key {
@@ -194,34 +143,10 @@ class EdgeTtfCache {
     }
   };
 
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      uint64_t h = static_cast<uint64_t>(k.pattern) * 0x9e3779b97f4a7c15ull;
-      h ^= static_cast<uint64_t>(k.day) + 0x9e3779b97f4a7c15ull + (h << 6) +
-           (h >> 2);
-      h ^= k.distance_bits + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-      h ^= k.eps_bits + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-      h ^= static_cast<uint64_t>(k.variant) + 0x9e3779b97f4a7c15ull +
-           (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-
-  struct Shard {
-    mutable util::Mutex mu;
-    // Most recent first.
-    std::list<std::pair<Key, FunctionPtr>> lru CAPEFP_GUARDED_BY(mu);
-    std::unordered_map<Key, std::list<std::pair<Key, FunctionPtr>>::iterator,
-                       KeyHash>
-        map CAPEFP_GUARDED_BY(mu);
-    // Relaxed atomics rather than lock-guarded ints: the flight recorder
-    // snapshots these counters before and after every query for delta
-    // attribution, and taking every shard lock twice per query showed up
-    // in the always-on overhead budget. Writers still hold `mu` (the
-    // counters describe lock-guarded state); readers aggregate lock-free.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
+  struct Entry {
+    Entry(const Key& k, tdf::PwlFunction f) : key(k), fn(std::move(f)) {}
+    const Key key;
+    const tdf::PwlFunction fn;
   };
 
   static Key MakeKey(PatternId pattern, double distance_miles, int64_t day,
@@ -236,13 +161,12 @@ class EdgeTtfCache {
     return key;
   }
 
-  size_t ShardIndex(const Key& key) const {
-    return KeyHash()(key) % shards_.size();
-  }
+  size_t SlotOf(const Key& key) const;
 
-  size_t shard_capacity_;
-  std::vector<Shard> shards_;
-  std::atomic<uint64_t> bypasses_{0};
+  const size_t capacity_;
+  size_t mask_ = 0;  // Slot count − 1 (the slot count is a power of two).
+  std::unique_ptr<std::atomic<Entry*>[]> slots_;
+  std::atomic<size_t> size_{0};
 };
 
 }  // namespace capefp::network

@@ -75,7 +75,7 @@ enum class FlightEventType : uint16_t {
   kQueryEnd = 2,        // a = latency in µs (saturated), b = expansions
   kSpanBegin = 3,       // code = FlightSpan
   kSpanEnd = 4,         // code = FlightSpan
-  kCacheDelta = 5,      // a = TTF-cache hits, b = misses (this phase)
+  kCacheDelta = 5,      // a = edge-TTF memo hits, b = misses (this query)
   kPageDelta = 6,       // a = buffer-pool hits, b = page faults (this phase)
   kArenaDelta = 7,      // a = arena spills (this query), b = high-water bytes
   kCorridorPhase = 8,   // code = pass number 1..4, a = heap pops, b = marks

@@ -1,10 +1,9 @@
 // Positive control for the negative-compile harness: this TU includes the
-// real annotated headers (storage, network cache, metrics) and performs a
-// correctly locked guarded access. It MUST compile under -Wthread-safety
-// -Werror=thread-safety — if it doesn't, the harness is broken (stale
-// include paths, bad flags), and the "expected failures" below would pass
-// for the wrong reason.
-#include "src/network/ttf_cache.h"
+// real annotated headers (storage buffer pool and pager, metrics) and
+// performs a correctly locked guarded access. It MUST compile under
+// -Wthread-safety -Werror=thread-safety — if it doesn't, the harness is
+// broken (stale include paths, bad flags), and the "expected failures"
+// below would pass for the wrong reason.
 #include "src/obs/metrics.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/pager.h"

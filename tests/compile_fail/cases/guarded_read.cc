@@ -1,8 +1,8 @@
 // MUST NOT COMPILE under -Wthread-safety -Werror=thread-safety.
 //
 // Reads a CAPEFP_GUARDED_BY member without holding its mutex — the exact
-// bug class the annotations on BufferPoolStats / PagerStats / the
-// EdgeTtfCache shard counters exist to prevent. The harness asserts the
+// bug class the annotations on the BufferPool frame table and stats and
+// the Pager's stats exist to prevent. The harness asserts the
 // compiler rejects this TU with a diagnostic matching
 // "requires holding mutex".
 #include "src/util/mutex.h"

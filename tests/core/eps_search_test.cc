@@ -15,6 +15,8 @@
 //     uncontaminated across interleaved ε settings, and the
 //     capefp.tdf.simplify.* metrics move only when ε > 0.
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -295,10 +297,17 @@ TEST(EngineEpsTest, KnobStaysWithinEpsAndPublishesMetrics) {
 TEST(EngineEpsTest, NegativeEpsIsRejected) {
   gen::SuffolkNetwork sn =
       gen::GenerateSuffolkNetwork(gen::SuffolkOptions::Small());
-  EngineOptions options;
-  options.simplify_eps = -1.0;
-  EXPECT_DEATH((void)FastestPathEngine::Create(&sn.network, options),
-               "simplify_eps");
+  // Caller input: a Status, never a CHECK.
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EngineOptions options;
+    options.simplify_eps = bad;
+    const auto engine = FastestPathEngine::Create(&sn.network, options);
+    ASSERT_FALSE(engine.ok()) << bad;
+    EXPECT_EQ(engine.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(engine.status().message().find("simplify_eps"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

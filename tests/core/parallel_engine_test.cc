@@ -2,7 +2,7 @@
 // bit-identical to the sequential engine, on both the in-memory and the
 // disk-backed (shared BufferPool/Pager) paths. Exercised under TSan by
 // tools/run_checks.sh, where the assertions double as a race detector for
-// the whole shared-state query stack (TTF cache, buffer pool, pager,
+// the whole shared-state query stack (edge-TTF memo, buffer pool, pager,
 // boundary index).
 #include <cstdio>
 #include <string>
@@ -36,8 +36,8 @@ std::vector<ProfileQuery> MakeWorkload(const network::RoadNetwork& net,
 }
 
 // Exact equality — not ApproxEqual. Identical floating-point bits are the
-// whole point: parallel scheduling, cache hits, and cache evictions must
-// not leak into results.
+// whole point: parallel scheduling, memo hits, publication races and a
+// full memo's on-demand derivations must not leak into results.
 void ExpectBitIdentical(const AllFpResult& a, const AllFpResult& b,
                         size_t query_index) {
   SCOPED_TRACE("query " + std::to_string(query_index));
@@ -84,8 +84,8 @@ class ParallelEngineTest : public ::testing::Test {
       ExpectBitIdentical(sequential[i], batch4[i], i);
     }
 
-    // A second 4-thread run against a warm (possibly partially evicted)
-    // cache must still be bit-identical.
+    // A second 4-thread run against a warm (possibly full) memo must
+    // still be bit-identical.
     const std::vector<AllFpResult> batch4_warm = engine.RunBatch(queries, 4);
     for (size_t i = 0; i < queries.size(); ++i) {
       ExpectBitIdentical(batch4[i], batch4_warm[i], i);
@@ -104,9 +104,9 @@ TEST_F(ParallelEngineTest, BatchMatchesSequentialInMemory) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   RunDeterminismChecks(**engine, queries);
 
-  const auto cache_stats = (*engine)->ttf_cache_stats();
-  ASSERT_TRUE(cache_stats.has_value());
-  EXPECT_GT(cache_stats->hits, 0u);  // The cache really was exercised.
+  // The memo really was exercised.
+  EXPECT_GT((*engine)->metrics()->Snapshot().counter("capefp.ttf_cache.hits"),
+            0u);
 }
 
 TEST_F(ParallelEngineTest, BatchMatchesSequentialDiskBacked) {
@@ -137,28 +137,33 @@ TEST_F(ParallelEngineTest, BatchWithoutCacheMatchesSequential) {
 
   EngineOptions options;
   options.boundary_grid_dim = 8;
-  options.ttf_cache_entries = 0;  // Parallelism alone, no shared cache.
+  options.ttf_cache_entries = 0;  // Parallelism alone, no shared memo.
   auto engine = FastestPathEngine::Create(&sn.network, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_FALSE((*engine)->ttf_cache_enabled());
-  EXPECT_FALSE((*engine)->ttf_cache_stats().has_value());
   RunDeterminismChecks(**engine, queries);
+  const obs::MetricsSnapshot snap = (*engine)->metrics()->Snapshot();
+  EXPECT_EQ(snap.counters.count("capefp.ttf_cache.lookups"), 0u);
+  EXPECT_EQ(snap.gauges.count("capefp.ttf_cache.entries"), 0u);
 }
 
-TEST_F(ParallelEngineTest, TinyCacheForcesEvictionsKeepsDeterminism) {
+// A memo that fills within the first query: which 8 keys get published
+// depends on thread timing, and every other edge is derived on demand —
+// the answers must not depend on either.
+TEST_F(ParallelEngineTest, TinyMemoFallbackKeepsDeterminism) {
   const auto sn = gen::GenerateSuffolkNetwork(gen::SuffolkOptions::Small());
   const std::vector<ProfileQuery> queries = MakeWorkload(sn.network, 6);
 
   EngineOptions options;
   options.boundary_grid_dim = 8;
-  options.ttf_cache_entries = 8;  // Constant churn.
+  options.ttf_cache_entries = 8;
   auto engine = FastestPathEngine::Create(&sn.network, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   RunDeterminismChecks(**engine, queries);
 
-  const auto cache_stats = (*engine)->ttf_cache_stats();
-  ASSERT_TRUE(cache_stats.has_value());
-  EXPECT_GT(cache_stats->evictions, 0u);
+  const obs::MetricsSnapshot snap = (*engine)->metrics()->Snapshot();
+  EXPECT_EQ(snap.gauge("capefp.ttf_cache.entries"), 8.0);
+  // Far more misses than entries: the full memo fell back to derivation.
+  EXPECT_GT(snap.counter("capefp.ttf_cache.misses"), 100u);
 }
 
 TEST_F(ParallelEngineTest, PerQueryLatenciesReported) {

@@ -1,20 +1,21 @@
 // Cross-component concurrency regression test (TSan tier).
 //
-// Exercises, at runtime, exactly the lock interactions the thread-safety
-// annotations encode statically:
-//   * EdgeTtfCache shard mutexes are leaves — worker threads hammer
-//     GetOrDerive on overlapping keys while a snapshotter thread polls the
-//     cache's callback metrics through MetricsRegistry::Snapshot().
+// Exercises, at runtime, the shared-state interactions of a query batch:
+//   * The lock-free EdgeTtfCache memo — worker threads race to insert the
+//     same keys (publish by compare-and-swap, losers free their copy)
+//     while a snapshotter thread reads the memo's size through a callback
+//     metric.
 //   * MetricsRegistry::Snapshot() invokes callback metrics while holding
 //     the registry mutex; those callbacks take component stats locks
-//     (cache shard, pool, pager), pinning the registry -> component-stats
-//     order as deadlock-free.
+//     (pool, pager), pinning the registry -> component-stats order as
+//     deadlock-free.
 //   * BufferPool::Acquire() faults pages while holding the pool lock, the
 //     one declared cross-component order (pool before pager).
 //
 // The test has no timing assertions; its value is running the real lock
 // graph under ThreadSanitizer (tools/run_checks.sh tsan), where any data
 // race or lock inversion the annotations failed to rule out reports.
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -38,10 +39,12 @@ namespace {
 constexpr int kWorkers = 4;
 constexpr int kIterations = 400;
 
+constexpr int kKeys = 64;
+
 TEST(ConcurrencyRegressionTest, CacheMetricsAndPoolUnderContention) {
-  // Small capacities on purpose: evictions exercise the shard LRU and the
-  // pool's writeback path, not just the hit fast paths.
-  network::EdgeTtfCache cache(/*capacity_entries=*/32, /*num_shards=*/4);
+  // Room for every key: the race under test is publication, not the
+  // entry budget (in-flight losing copies briefly count against it).
+  network::EdgeTtfCache cache(/*capacity_entries=*/2 * kKeys);
 
   const std::string path =
       capefp::testing::UniqueTempPath("concurrency_regression.db");
@@ -61,31 +64,48 @@ TEST(ConcurrencyRegressionTest, CacheMetricsAndPoolUnderContention) {
   }
 
   obs::MetricsRegistry registry;
-  cache.RegisterMetrics(&registry, "test.cache");
+  registry.AddCallbackGauge("test.cache.entries", [&cache] {
+    return static_cast<double>(cache.size());
+  });
   pool.RegisterMetrics(&registry, "test.pool");
   pager->RegisterMetrics(&registry, "test.pager");
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> derivations{0};
+  std::atomic<int> ready{0};
+  // seen[w][k]: the entry worker w got for key k.
+  std::vector<std::array<const tdf::PwlFunction*, kKeys>> seen(kWorkers);
 
   std::vector<std::thread> threads;
-  // Cache workers: overlapping key ranges force same-shard contention and
-  // concurrent derive-vs-hit interleavings.
+  // Memo workers: all walk the same keys in the same order from a common
+  // start, so first lookups of a key race to derive and publish it.
   for (int w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&cache, &derivations, w] {
+    threads.emplace_back([&cache, &derivations, &ready, &seen, w] {
+      // Start together (and after the snapshotter's first poll).
+      ready.fetch_add(1);
+      while (ready.load() < kWorkers + 1) {
+      }
       for (int i = 0; i < kIterations; ++i) {
-        const network::PatternId pattern = (w + i) % 8;
-        const double distance = 1.0 + (i % 4);
-        auto fn = cache.GetOrDerive(pattern, distance, /*day=*/i % 2,
-                                    [&derivations] {
-                                      derivations.fetch_add(1);
-                                      return tdf::PwlFunction::Constant(
-                                          0.0, tdf::kMinutesPerDay, 5.0);
-                                    });
+        const int k = i % kKeys;
+        bool hit = false;
+        const tdf::PwlFunction* fn = cache.GetOrDerive(
+            /*pattern=*/k % 16, /*distance_miles=*/1.0 + k / 16,
+            /*day=*/0, /*eps=*/0.0, network::TtfVariant::kExact,
+            [&derivations, k] {
+              derivations.fetch_add(1);
+              return tdf::PwlFunction::Constant(0.0, tdf::kMinutesPerDay,
+                                                1.0 + k);
+            },
+            &hit);
         ASSERT_NE(fn, nullptr);
-        // Returned functions must stay readable even if evicted behind us.
-        ASSERT_GT(fn->Value(0.0), 0.0);
-        if (i % 16 == 0) cache.RecordBypass();
+        ASSERT_EQ(fn->Value(0.0), 1.0 + k);
+        if (i < kKeys) {
+          seen[static_cast<size_t>(w)][static_cast<size_t>(k)] = fn;
+        } else {
+          // Entries are never replaced: a key keeps its first pointer.
+          ASSERT_TRUE(hit);
+          ASSERT_EQ(fn, seen[static_cast<size_t>(w)][static_cast<size_t>(k)]);
+        }
       }
     });
   }
@@ -101,15 +121,16 @@ TEST(ConcurrencyRegressionTest, CacheMetricsAndPoolUnderContention) {
       }
     });
   }
-  // Snapshotter: polls every callback metric (cache shard counters, pool
-  // stats, pager stats) under the registry mutex until workers finish.
-  threads.emplace_back([&registry, &stop] {
+  // Snapshotter: polls every callback metric (memo size, pool stats, pager
+  // stats) under the registry mutex until workers finish. The memo
+  // workers wait for its first snapshot, so the polling overlaps them.
+  threads.emplace_back([&registry, &stop, &ready] {
     uint64_t snapshots = 0;
     while (!stop.load(std::memory_order_acquire)) {
       const obs::MetricsSnapshot snap = registry.Snapshot();
-      ASSERT_TRUE(snap.counters.count("test.cache.lookups"));
+      if (snapshots++ == 0) ready.fetch_add(1);
+      ASSERT_LE(snap.gauge("test.cache.entries"), 2.0 * kKeys);
       ASSERT_TRUE(snap.counters.count("test.pool.hits"));
-      ++snapshots;
     }
     ASSERT_GT(snapshots, 0u);
   });
@@ -118,17 +139,19 @@ TEST(ConcurrencyRegressionTest, CacheMetricsAndPoolUnderContention) {
   stop.store(true, std::memory_order_release);
   threads.back().join();
 
-  // The counters the snapshotter raced against must add up coherently now
-  // that everything is quiescent.
-  const network::EdgeTtfCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups(), uint64_t{kWorkers} * kIterations);
-  EXPECT_EQ(stats.misses, derivations.load());
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_EQ(stats.bypasses, uint64_t{kWorkers} * (kIterations / 16));
-  EXPECT_LE(cache.size(), cache.capacity());
+  // Exactly one entry was published per key, every worker read that one
+  // entry, and at least one derivation ran per key (racing losers derive
+  // too, then free their copy).
+  EXPECT_EQ(cache.size(), static_cast<size_t>(kKeys));
+  for (size_t k = 0; k < kKeys; ++k) {
+    for (size_t w = 1; w < kWorkers; ++w) {
+      EXPECT_EQ(seen[w][k], seen[0][k]) << "key " << k << " worker " << w;
+    }
+  }
+  EXPECT_GE(derivations.load(), uint64_t{kKeys});
 
   const obs::MetricsSnapshot final_snap = registry.Snapshot();
-  EXPECT_EQ(final_snap.counters.at("test.cache.lookups"), stats.lookups());
+  EXPECT_EQ(final_snap.gauge("test.cache.entries"), double{kKeys});
   // Every worker Acquire() is either a hit or a fault (the initial
   // AllocateAndAcquire seeds count as allocations, not lookups).
   EXPECT_EQ(final_snap.counters.at("test.pool.hits") +

@@ -1,5 +1,8 @@
 #include "src/network/ttf_cache.h"
 
+#include <utility>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "src/network/accessor.h"
 #include "src/network/road_network.h"
@@ -32,94 +35,169 @@ RoadNetwork MakeTwoCategoryNetwork() {
   return net;
 }
 
+// Bit-for-bit equality of two functions' breakpoints.
+void ExpectSameBits(const PwlFunction& a, const PwlFunction& b) {
+  ASSERT_EQ(a.breakpoints().size(), b.breakpoints().size());
+  for (size_t i = 0; i < a.breakpoints().size(); ++i) {
+    EXPECT_EQ(a.breakpoints()[i].x, b.breakpoints()[i].x) << i;
+    EXPECT_EQ(a.breakpoints()[i].y, b.breakpoints()[i].y) << i;
+  }
+}
+
+// Memo lookup through the 0/kExact key the accessor uses for exact reads.
+template <typename Fn>
+const PwlFunction* Get(EdgeTtfCache& memo, PatternId pattern,
+                       double distance, int64_t day, Fn&& derive,
+                       bool* hit) {
+  return memo.GetOrDerive(pattern, distance, day, /*eps=*/0.0,
+                          TtfVariant::kExact, std::forward<Fn>(derive), hit);
+}
+
 TEST(EdgeTtfCacheTest, HitAndMissCounters) {
-  EdgeTtfCache cache(/*capacity_entries=*/64);
+  EdgeTtfCache memo(/*capacity_entries=*/64);
   int derivations = 0;
   auto derive = [&]() {
     ++derivations;
     return PwlFunction::Constant(0.0, kMinutesPerDay, 5.0);
   };
 
-  auto first = cache.GetOrDerive(/*pattern=*/0, /*distance_miles=*/1.0,
-                                 /*day=*/0, derive);
-  auto second = cache.GetOrDerive(0, 1.0, 0, derive);
+  bool hit = true;
+  const PwlFunction* first = Get(memo, /*pattern=*/0, /*distance=*/1.0,
+                                 /*day=*/0, derive, &hit);
+  EXPECT_FALSE(hit);
+  const PwlFunction* second = Get(memo, 0, 1.0, 0, derive, &hit);
+  EXPECT_TRUE(hit);
   EXPECT_EQ(derivations, 1);
-  EXPECT_EQ(first.get(), second.get());  // Same shared entry.
+  EXPECT_EQ(first, second);  // Same published entry.
+  EXPECT_EQ(memo.size(), 1u);
 
-  const EdgeTtfCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.lookups(), 2u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
-  EXPECT_EQ(cache.size(), 1u);
-
-  cache.RecordBypass();
-  EXPECT_EQ(cache.stats().bypasses, 1u);
-
-  cache.ResetStats();
-  const EdgeTtfCacheStats reset = cache.stats();
-  EXPECT_EQ(reset.hits, 0u);
-  EXPECT_EQ(reset.misses, 0u);
-  EXPECT_EQ(reset.bypasses, 0u);
-  EXPECT_EQ(cache.size(), 1u);  // Entries survive a stats reset...
-
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);  // ...but not a Clear.
+  // The accessor reports how each request was served; the search counts
+  // these per query.
+  const RoadNetwork net = MakeTwoCategoryNetwork();
+  EdgeTtfCache accessor_memo(64);
+  InMemoryAccessor accessor(&net);
+  accessor.set_ttf_cache(&accessor_memo);
+  PwlFunction out;
+  EXPECT_EQ(accessor.EdgeTtfInto(0, 1.0, HhMm(7, 0), HhMm(8, 0), &out),
+            TtfSource::kMiss);
+  EXPECT_EQ(accessor.EdgeTtfInto(0, 1.0, HhMm(9, 0), HhMm(10, 0), &out),
+            TtfSource::kHit);
+  EXPECT_EQ(accessor.EdgeTtfInto(0, 1.0, HhMm(23, 0),
+                                 kMinutesPerDay + HhMm(1, 0), &out),
+            TtfSource::kBypass);
+  EXPECT_EQ(accessor_memo.size(), 1u);
 }
 
 TEST(EdgeTtfCacheTest, DistinctKeysGetDistinctEntries) {
-  EdgeTtfCache cache(64);
+  EdgeTtfCache memo(64);
   auto derive_at = [](double value) {
     return [value]() {
       return PwlFunction::Constant(0.0, kMinutesPerDay, value);
     };
   };
+  bool hit = true;
   // Different pattern, different length, different day: all distinct.
-  (void)cache.GetOrDerive(0, 1.0, 0, derive_at(1.0));
-  (void)cache.GetOrDerive(1, 1.0, 0, derive_at(2.0));
-  (void)cache.GetOrDerive(0, 2.0, 0, derive_at(3.0));
-  (void)cache.GetOrDerive(0, 1.0, 1, derive_at(4.0));
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().misses, 4u);
+  (void)Get(memo, 0, 1.0, 0, derive_at(1.0), &hit);
+  EXPECT_FALSE(hit);
+  (void)Get(memo, 1, 1.0, 0, derive_at(2.0), &hit);
+  EXPECT_FALSE(hit);
+  (void)Get(memo, 0, 2.0, 0, derive_at(3.0), &hit);
+  EXPECT_FALSE(hit);
+  (void)Get(memo, 0, 1.0, 1, derive_at(4.0), &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(memo.size(), 4u);
 
-  // Each key returns its own cached value.
-  auto again = cache.GetOrDerive(0, 2.0, 0, derive_at(-1.0));
+  // Each key returns its own memoized value.
+  const PwlFunction* again = Get(memo, 0, 2.0, 0, derive_at(-1.0), &hit);
+  EXPECT_TRUE(hit);
   EXPECT_DOUBLE_EQ(again->Value(0.0), 3.0);
 }
 
-TEST(EdgeTtfCacheTest, EvictsLeastRecentlyUsed) {
-  // One shard so the LRU order is global and deterministic.
-  EdgeTtfCache cache(/*capacity_entries=*/2, /*num_shards=*/1);
-  auto derive = []() {
+// Once the entry budget is spent the memo declines new keys (without
+// deriving), and the accessor serves them by on-demand derivation of the
+// same full-day function — bit-identical to what a roomier memo returns,
+// so answers never depend on which keys got in first.
+TEST(EdgeTtfCacheTest, FullMemoServesFurtherKeysByDerivation) {
+  EdgeTtfCache tiny(/*capacity_entries=*/1);
+  int derivations = 0;
+  auto derive = [&]() {
+    ++derivations;
     return PwlFunction::Constant(0.0, kMinutesPerDay, 1.0);
   };
-  (void)cache.GetOrDerive(0, 1.0, 0, derive);  // key A
-  (void)cache.GetOrDerive(1, 1.0, 0, derive);  // key B
-  (void)cache.GetOrDerive(0, 1.0, 0, derive);  // touch A -> B is LRU
-  (void)cache.GetOrDerive(2, 1.0, 0, derive);  // key C evicts B
+  bool hit = true;
+  EXPECT_NE(Get(tiny, 0, 1.0, 0, derive, &hit), nullptr);
+  EXPECT_EQ(Get(tiny, 1, 1.0, 0, derive, &hit), nullptr);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(derivations, 1);  // A declined key is never derived.
+  EXPECT_EQ(tiny.size(), 1u);
+  EXPECT_NE(Get(tiny, 0, 1.0, 0, derive, &hit), nullptr);  // Still held.
+  EXPECT_TRUE(hit);
 
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  const RoadNetwork net = MakeTwoCategoryNetwork();
+  InMemoryAccessor full(&net);
+  full.set_ttf_cache(&tiny);
+  EdgeTtfCache roomy(64);
+  InMemoryAccessor reference(&net);
+  reference.set_ttf_cache(&roomy);
+  tdf::PwlArena arena;
+  const double eps = 5.0 / 60.0;
+  // The tiny memo's one slot is spent on the key above, so every accessor
+  // read below (a 2-mile edge) takes the on-demand path, on a workday
+  // (day 0) and a weekend day (day 5), exact and ε-lower alike.
+  for (const double day_lo : {0.0, 5 * kMinutesPerDay}) {
+    const double lo = day_lo + HhMm(6, 45);
+    const double hi = day_lo + HhMm(9, 15);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      PwlFunction got(&arena);
+      PwlFunction want;
+      EXPECT_EQ(full.EdgeTtfInto(0, 2.0, lo, hi, &got), TtfSource::kMiss);
+      (void)reference.EdgeTtfInto(0, 2.0, lo, hi, &want);
+      ExpectSameBits(got, want);
 
-  // A and C are resident; B must be re-derived.
-  (void)cache.GetOrDerive(0, 1.0, 0, derive);
-  (void)cache.GetOrDerive(2, 1.0, 0, derive);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  const uint64_t misses_before = cache.stats().misses;
-  (void)cache.GetOrDerive(1, 1.0, 0, derive);
-  EXPECT_EQ(cache.stats().misses, misses_before + 1);
+      PwlFunction tmp(&arena);
+      PwlFunction got_lower(&arena);
+      PwlFunction want_lower;
+      EXPECT_EQ(full.EdgeTtfSimplifiedInto(0, 2.0, lo, hi, eps,
+                                           tdf::SimplifySide::kLower, &tmp,
+                                           &got_lower),
+                TtfSource::kMiss);
+      (void)reference.EdgeTtfSimplifiedInto(
+          0, 2.0, lo, hi, eps, tdf::SimplifySide::kLower, &tmp, &want_lower);
+      ExpectSameBits(got_lower, want_lower);
+    }
+  }
+  EXPECT_EQ(tiny.size(), 1u);  // Nothing was published past the budget.
 }
 
-TEST(EdgeTtfCacheTest, EvictedFunctionStaysValid) {
-  EdgeTtfCache cache(/*capacity_entries=*/1, /*num_shards=*/1);
-  auto held = cache.GetOrDerive(0, 1.0, 0, []() {
-    return PwlFunction::Constant(0.0, kMinutesPerDay, 7.0);
-  });
-  (void)cache.GetOrDerive(1, 1.0, 0, []() {
-    return PwlFunction::Constant(0.0, kMinutesPerDay, 9.0);
-  });
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_DOUBLE_EQ(held->Value(100.0), 7.0);  // shared_ptr keeps it alive.
+// Entries are never evicted, moved or replaced: a pointer handed out once
+// is the pointer every later lookup of that key returns, for the memo's
+// whole lifetime — including after the memo has filled up.
+TEST(EdgeTtfCacheTest, ReturnedPointersStayStable) {
+  constexpr int kKeys = 48;
+  EdgeTtfCache memo(/*capacity_entries=*/kKeys);
+  std::vector<const PwlFunction*> held;
+  bool hit = true;
+  for (int k = 0; k < kKeys; ++k) {
+    held.push_back(Get(memo, static_cast<PatternId>(k), 1.0, 0, [k]() {
+      return PwlFunction::Constant(0.0, kMinutesPerDay, 1.0 + k);
+    }, &hit));
+    ASSERT_NE(held.back(), nullptr);
+  }
+  // Full now: further keys are declined...
+  EXPECT_EQ(Get(memo, kKeys, 1.0, 0, []() {
+    return PwlFunction::Constant(0.0, kMinutesPerDay, -1.0);
+  }, &hit), nullptr);
+  // ...and every held key still resolves to its original entry.
+  for (int k = 0; k < kKeys; ++k) {
+    const PwlFunction* again =
+        Get(memo, static_cast<PatternId>(k), 1.0, 0, []() {
+          return PwlFunction::Constant(0.0, kMinutesPerDay, -1.0);
+        }, &hit);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(again, held[static_cast<size_t>(k)]);
+    EXPECT_DOUBLE_EQ(again->Value(100.0), 1.0 + k);
+  }
+  EXPECT_EQ(memo.size(), static_cast<size_t>(kKeys));
 }
 
 // The accessor-level contract the profile search relies on: cached lookups
@@ -155,12 +233,13 @@ TEST(EdgeTtfAccessorTest, DayCategorySeparation) {
   EXPECT_TRUE(PwlFunction::ApproxEqual(monday, monday_direct, 1e-9));
   EXPECT_TRUE(PwlFunction::ApproxEqual(saturday, saturday_direct, 1e-9));
 
-  // Served from the cache on repeat.
-  const uint64_t misses = cache.stats().misses;
-  (void)accessor.EdgeTtf(0, 1.0, monday_lo, monday_hi);
-  (void)accessor.EdgeTtf(0, 1.0, saturday_lo, saturday_hi);
-  EXPECT_EQ(cache.stats().misses, misses);
-  EXPECT_EQ(cache.stats().hits, 2u);
+  // Served from the memo on repeat.
+  PwlFunction again;
+  EXPECT_EQ(accessor.EdgeTtfInto(0, 1.0, monday_lo, monday_hi, &again),
+            TtfSource::kHit);
+  EXPECT_EQ(accessor.EdgeTtfInto(0, 1.0, saturday_lo, saturday_hi, &again),
+            TtfSource::kHit);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(EdgeTtfAccessorTest, MidnightSpanningIntervalBypassesCache) {
@@ -171,9 +250,10 @@ TEST(EdgeTtfAccessorTest, MidnightSpanningIntervalBypassesCache) {
 
   const double lo = HhMm(23, 0);
   const double hi = kMinutesPerDay + HhMm(1, 0);  // Crosses midnight.
-  const PwlFunction crossing = accessor.EdgeTtf(0, 1.0, lo, hi);
+  PwlFunction crossing;
+  EXPECT_EQ(accessor.EdgeTtfInto(0, 1.0, lo, hi, &crossing),
+            TtfSource::kBypass);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().bypasses, 1u);
 
   const PwlFunction direct = tdf::EdgeTravelTimeFunction(
       accessor.SpeedView(0), 1.0, lo, hi);
@@ -182,8 +262,8 @@ TEST(EdgeTtfAccessorTest, MidnightSpanningIntervalBypassesCache) {
 
 // ε-keying regression: interleaved exact and ε-simplified queries against
 // the same edge must never return each other's entries. Before ε (and the
-// lower/upper variant) joined the shard key, an ε>0 worker could poison
-// the cache for a concurrent ε=0 worker and silently break exactness.
+// lower/upper variant) joined the key, an ε>0 worker could poison the
+// memo for a concurrent ε=0 worker and silently break exactness.
 TEST(EdgeTtfCacheTest, EpsAndVariantArePartOfTheKey) {
   EdgeTtfCache cache(/*capacity_entries=*/64);
   auto derive_at = [](double v) {
@@ -191,40 +271,30 @@ TEST(EdgeTtfCacheTest, EpsAndVariantArePartOfTheKey) {
   };
 
   // Same (pattern, distance, day); four distinct (eps, variant) bindings.
-  auto exact = cache.GetOrDerive(0, 1.0, 0, /*eps=*/0.0,
-                                 TtfVariant::kExact, derive_at(1.0));
-  auto lo5 = cache.GetOrDerive(0, 1.0, 0, /*eps=*/5.0,
-                               TtfVariant::kLower, derive_at(2.0));
-  auto hi5 = cache.GetOrDerive(0, 1.0, 0, /*eps=*/5.0,
-                               TtfVariant::kUpper, derive_at(3.0));
-  auto lo30 = cache.GetOrDerive(0, 1.0, 0, /*eps=*/30.0,
-                                TtfVariant::kLower, derive_at(4.0));
+  bool hit = true;
+  auto get = [&](double eps, TtfVariant variant, double v) {
+    return cache.GetOrDerive(0, 1.0, 0, eps, variant, derive_at(v), &hit);
+  };
+  (void)get(/*eps=*/0.0, TtfVariant::kExact, 1.0);
+  EXPECT_FALSE(hit);
+  (void)get(/*eps=*/5.0, TtfVariant::kLower, 2.0);
+  EXPECT_FALSE(hit);
+  (void)get(/*eps=*/5.0, TtfVariant::kUpper, 3.0);
+  EXPECT_FALSE(hit);
+  (void)get(/*eps=*/30.0, TtfVariant::kLower, 4.0);
+  EXPECT_FALSE(hit);
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.stats().misses, 4u);
 
   // Interleaved re-reads hit their own entry, never a neighbor's.
-  EXPECT_DOUBLE_EQ(
-      cache.GetOrDerive(0, 1.0, 0, 5.0, TtfVariant::kLower, derive_at(-1.0))
-          ->Value(0.0),
-      2.0);
-  EXPECT_DOUBLE_EQ(
-      cache.GetOrDerive(0, 1.0, 0, 0.0, TtfVariant::kExact, derive_at(-1.0))
-          ->Value(0.0),
-      1.0);
-  EXPECT_DOUBLE_EQ(
-      cache.GetOrDerive(0, 1.0, 0, 30.0, TtfVariant::kLower, derive_at(-1.0))
-          ->Value(0.0),
-      4.0);
-  EXPECT_DOUBLE_EQ(
-      cache.GetOrDerive(0, 1.0, 0, 5.0, TtfVariant::kUpper, derive_at(-1.0))
-          ->Value(0.0),
-      3.0);
-  EXPECT_EQ(cache.stats().misses, 4u);  // All four were hits.
-
-  // The 4-arg exact overload is an alias for (eps=0, kExact).
-  EXPECT_DOUBLE_EQ(cache.GetOrDerive(0, 1.0, 0, derive_at(-1.0))->Value(0.0),
-                   1.0);
-  (void)exact; (void)lo5; (void)hi5; (void)lo30;
+  EXPECT_DOUBLE_EQ(get(5.0, TtfVariant::kLower, -1.0)->Value(0.0), 2.0);
+  EXPECT_TRUE(hit);
+  EXPECT_DOUBLE_EQ(get(0.0, TtfVariant::kExact, -1.0)->Value(0.0), 1.0);
+  EXPECT_TRUE(hit);
+  EXPECT_DOUBLE_EQ(get(30.0, TtfVariant::kLower, -1.0)->Value(0.0), 4.0);
+  EXPECT_TRUE(hit);
+  EXPECT_DOUBLE_EQ(get(5.0, TtfVariant::kUpper, -1.0)->Value(0.0), 3.0);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.size(), 4u);
 }
 
 // The accessor-level version of the same contract: ε-simplified reads and
@@ -273,7 +343,9 @@ TEST(EdgeTtfAccessorTest, NoCacheAttachedDerivesDirectly) {
   InMemoryAccessor accessor(&net);
   ASSERT_EQ(accessor.ttf_cache(), nullptr);
 
-  const PwlFunction f = accessor.EdgeTtf(0, 1.0, HhMm(8, 0), HhMm(9, 0));
+  PwlFunction f;
+  EXPECT_EQ(accessor.EdgeTtfInto(0, 1.0, HhMm(8, 0), HhMm(9, 0), &f),
+            TtfSource::kUncached);
   const PwlFunction direct = tdf::EdgeTravelTimeFunction(
       accessor.SpeedView(0), 1.0, HhMm(8, 0), HhMm(9, 0));
   EXPECT_TRUE(PwlFunction::ApproxEqual(f, direct, 1e-12));

@@ -12,6 +12,7 @@
 
 #include "src/core/engine.h"
 #include "src/gen/suffolk_generator.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/tdf/speed_pattern.h"
@@ -92,8 +93,9 @@ TEST_F(ObservabilityIntegrationTest, TracedAllFpReconcilesWithRegistry) {
             estimator->duration_ms + search->duration_ms - 1e-6);
 
   // The aggregated edge_ttf leaf counts one invocation per EdgeTtf call,
-  // i.e. per TTF-cache lookup; the search span's hit/miss attrs and the
-  // registry's cache counters must all tell the same story.
+  // i.e. per memo lookup; the search span's hit/miss attrs, the query's
+  // own SearchStats and the registry's memo counters must all tell the
+  // same story.
   const double hits = Attr(*search, "ttf_cache_hits");
   const double misses = Attr(*search, "ttf_cache_misses");
   EXPECT_EQ(static_cast<double>(edge_ttf->count), hits + misses);
@@ -101,6 +103,8 @@ TEST_F(ObservabilityIntegrationTest, TracedAllFpReconcilesWithRegistry) {
             static_cast<uint64_t>(hits));
   EXPECT_EQ(delta.counter("capefp.ttf_cache.misses"),
             static_cast<uint64_t>(misses));
+  EXPECT_EQ(hits, static_cast<double>(result.stats.ttf_hits));
+  EXPECT_EQ(misses, static_cast<double>(result.stats.ttf_misses));
 
   // Buffer-pool attribution: a fresh 8-page pool cannot serve the far
   // query without faulting, and every fault is a pager read recorded by
@@ -216,6 +220,69 @@ TEST_F(ObservabilityIntegrationTest, RunBatchWithMetricsPayload) {
     EXPECT_TRUE(tdf::PwlFunction::ApproxEqual(*batch.results[i].border,
                                               *reference[i].border, 1e-12));
   }
+}
+
+// Memo accounting is exact inside a concurrent batch: every query counts
+// its own lookups, so the per-query counts, the traces' edge_ttf leaves
+// and the registry's movement agree to the unit at 4 threads.
+TEST_F(ObservabilityIntegrationTest, ConcurrentBatchMemoAccountingIsExact) {
+  std::vector<ProfileQuery> queries;
+  const size_t n = sn_.network.num_nodes();
+  for (size_t i = 0; i < 12; ++i) {
+    queries.push_back({static_cast<NodeId>(3 * i),
+                       static_cast<NodeId>(n - 1 - 5 * i), HhMm(7, 0),
+                       HhMm(9, 0)});
+  }
+  const obs::MetricsSnapshot before = engine_->metrics()->Snapshot();
+  std::vector<obs::Trace> traces;
+  const BatchResult batch =
+      engine_->RunBatchWithMetrics(queries, /*threads=*/4, &traces);
+  const obs::MetricsSnapshot delta = batch.metrics.DeltaSince(before);
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t bypasses = 0;
+  uint64_t leaf_calls = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const SearchStats& stats = batch.results[i].stats;
+    hits += static_cast<uint64_t>(stats.ttf_hits);
+    misses += static_cast<uint64_t>(stats.ttf_misses);
+    bypasses += static_cast<uint64_t>(stats.ttf_bypasses);
+    const obs::Trace::SpanData* leaf = FindSpan(traces[i], "edge_ttf");
+    ASSERT_NE(leaf, nullptr) << "query " << i;
+    // ε = 0: no refinement reads, so the leaf sees every memo read.
+    EXPECT_EQ(leaf->count, static_cast<uint64_t>(stats.ttf_hits +
+                                                 stats.ttf_misses))
+        << "query " << i;
+    const obs::Trace::SpanData* search = FindSpan(traces[i], "search");
+    ASSERT_NE(search, nullptr);
+    EXPECT_EQ(Attr(*search, "ttf_cache_hits"),
+              static_cast<double>(stats.ttf_hits));
+    leaf_calls += leaf->count;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(bypasses, 0u);  // 07:00-09:00 never reaches midnight.
+  EXPECT_EQ(hits + misses, leaf_calls);
+  EXPECT_EQ(delta.counter("capefp.ttf_cache.lookups"), hits + misses);
+  EXPECT_EQ(delta.counter("capefp.ttf_cache.hits"), hits);
+  EXPECT_EQ(delta.counter("capefp.ttf_cache.misses"), misses);
+  EXPECT_EQ(delta.counter("capefp.ttf_cache.bypasses"), 0u);
+
+  // The flight recorder's kCacheDelta events carry the same per-query
+  // counts (the rings are far from wrapping at 12 queries).
+  uint64_t event_hits = 0;
+  uint64_t event_misses = 0;
+  size_t cache_events = 0;
+  for (const obs::FlightEvent& event :
+       engine_->flight_recorder()->Snapshot().events) {
+    if (event.type != obs::FlightEventType::kCacheDelta) continue;
+    event_hits += event.a;
+    event_misses += event.b;
+    ++cache_events;
+  }
+  EXPECT_EQ(cache_events, queries.size());
+  EXPECT_EQ(event_hits, hits);
+  EXPECT_EQ(event_misses, misses);
 }
 
 TEST_F(ObservabilityIntegrationTest, PrometheusExportListsTheMetricTree) {

@@ -243,8 +243,8 @@ for stage in "${STAGES[@]}"; do
     tsan)
       # Unit + integration + obs covers the genuinely multi-threaded
       # pieces — parallel_engine_test drives RunBatch workers over the
-      # shared TTF cache / buffer pool / pager,
-      # concurrency_regression_test races cache shard locks and metrics
+      # shared edge-TTF memo / buffer pool / pager,
+      # concurrency_regression_test races memo inserts and metrics
       # snapshot callbacks against buffer-pool traffic, obs_test hammers
       # the metrics registry from four writer threads under a concurrent
       # snapshotter, the flightrec label races the flight recorder's
